@@ -13,12 +13,6 @@ writes the numbers to ``BENCH_core.json`` at the repo root:
   times; the legacy re-scan mode (``Solver(wake_queue=False)``) revisits
   every still-blocked constraint per round.  Wake mode must win by
   >= 1.5x and its step count must stay linear.
-* ``var_chain.arena_seconds`` / ``gen_chain.arena_seconds`` — the same
-  two workloads replayed through the arena unifier's id-level API
-  (``fresh_id``/``assign_id``/``zonk_id``), where a type is an int and
-  the store is a dense array.  Full mode gates these against the
-  committed PR 5 absolutes (``PR5_*_SECONDS``) at >= 5x; smoke mode
-  gates them relatively against the same-run object-level store.
 * ``figure2`` — the full Figure-2 inference sweep: the fast path must
   not regress the paper suite (accept count and total solver steps are
   asserted stable; seconds are recorded for the before/after table in
@@ -40,7 +34,6 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.arena_unify import ArenaUnifier
 from repro.core.errors import GIError
 from repro.core.evidence import EvidenceStore
 from repro.core.infer import Inferencer
@@ -64,13 +57,6 @@ DEEP_TERM_N = 150 if SMOKE else 300
 FAN_N = 30 if SMOKE else 60
 MIN_SPEEDUP = 1.5
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-
-# The committed PR 5 numbers (full mode, N=3000 / N=400) — the arena's
-# id-level fast path must beat these absolutes by >= 5x.  Kept as
-# constants because this bench overwrites BENCH_core.json on every run.
-PR5_VAR_CHAIN_SECONDS = 0.009816
-PR5_GEN_CHAIN_SECONDS = 0.004673
-ARENA_MIN_SPEEDUP = 5.0
 
 ENV = figure2_env()
 INT = TCon("Int", ())
@@ -129,41 +115,6 @@ def _var_chain_dict(length: int) -> float:
     return time.perf_counter() - start
 
 
-def _var_chain_arena(length: int) -> float:
-    """The var_chain workload through the arena's id-level API: same
-    link/bind/zonk-everything sequence, but every type is an int and the
-    hot calls are hoisted locals (the idiomatic tight-loop shape the id
-    API exists for)."""
-    unifier = ArenaUnifier(NameSupply("b"))
-    assign = unifier.assign_id
-    ids = [unifier.fresh_id(Sort.M, 0) for _ in range(length)]
-    int_id = unifier._arena.tcon("Int")
-    start = time.perf_counter()
-    for left, right in zip(ids, ids[1:]):
-        assign(left, right)
-    assign(ids[-1], int_id)
-    assert unifier.zonk_ids(ids).count(int_id) == length
-    return time.perf_counter() - start
-
-
-def _gen_chain_arena(length: int) -> float:
-    """The store traffic of the wake-mode gen_chain solve replayed at the
-    id level: each bind immediately re-zonks the variable it woke (the
-    watcher's re-examination), then one final generalisation sweep."""
-    unifier = ArenaUnifier(NameSupply("b"))
-    fresh, assign, zonk = unifier.fresh_id, unifier.assign_id, unifier.zonk_id
-    int_id = unifier._arena.tcon("Int")
-    ids = [fresh(Sort.M, 0) for _ in range(length)]
-    start = time.perf_counter()
-    for left, right in zip(ids, ids[1:]):
-        assign(left, right)
-        zonk(left)
-    assign(ids[-1], int_id)
-    for variable in ids:
-        assert zonk(variable) == int_id
-    return time.perf_counter() - start
-
-
 def _gen_chain(length: int, wake: bool) -> tuple[float, int]:
     constraints = gen_chain_constraints(length)
     solver = Solver(
@@ -207,12 +158,9 @@ def test_bench_core():
     fig_meta = set()
     chain_steps = set()
     deep_steps = set()
-    var_arena, gen_arena = [], []
     for _ in range(REPEATS):
         var_uf.append(_var_chain_unionfind(VAR_CHAIN_N))
         var_dict.append(_var_chain_dict(VAR_CHAIN_N))
-        var_arena.append(_var_chain_arena(VAR_CHAIN_N))
-        gen_arena.append(_gen_chain_arena(GEN_CHAIN_N))
         seconds, steps = _gen_chain(GEN_CHAIN_N, wake=True)
         chain_wake.append(seconds)
         chain_steps.add(("wake", steps))
@@ -251,26 +199,6 @@ def test_bench_core():
     assert var_speedup >= MIN_SPEEDUP, (min(var_dict), min(var_uf))
     assert chain_speedup >= MIN_SPEEDUP, (min(chain_legacy), min(chain_wake))
 
-    # The arena id-level path must beat the committed PR 5 absolutes by
-    # >= 5x (full mode only — smoke shrinks N, so there it is gated
-    # relatively against the same-run object-level store instead).
-    arena_var_speedup = PR5_VAR_CHAIN_SECONDS / min(var_arena)
-    arena_gen_speedup = PR5_GEN_CHAIN_SECONDS / min(gen_arena)
-    if not SMOKE:
-        assert arena_var_speedup >= ARENA_MIN_SPEEDUP, (
-            min(var_arena),
-            PR5_VAR_CHAIN_SECONDS,
-        )
-        assert arena_gen_speedup >= ARENA_MIN_SPEEDUP, (
-            min(gen_arena),
-            PR5_GEN_CHAIN_SECONDS,
-        )
-    assert min(var_uf) / min(var_arena) >= 2.0, (min(var_uf), min(var_arena))
-    assert min(chain_wake) / min(gen_arena) >= 2.0, (
-        min(chain_wake),
-        min(gen_arena),
-    )
-
     payload = {
         "benchmark": "core_engine",
         "smoke": SMOKE,
@@ -280,8 +208,6 @@ def test_bench_core():
             "unionfind_seconds": _min_of(var_uf),
             "dict_chain_seconds": _min_of(var_dict),
             "speedup": round(var_speedup, 2),
-            "arena_seconds": _min_of(var_arena),
-            "arena_speedup_vs_pr5": round(arena_var_speedup, 2),
         },
         "gen_chain": {
             "length": GEN_CHAIN_N,
@@ -290,8 +216,6 @@ def test_bench_core():
             "wake_steps": wake_steps,
             "legacy_steps": legacy_steps,
             "speedup": round(chain_speedup, 2),
-            "arena_seconds": _min_of(gen_arena),
-            "arena_speedup_vs_pr5": round(arena_gen_speedup, 2),
         },
         "figure2": {
             "examples": len(FIGURE2),

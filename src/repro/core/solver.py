@@ -141,13 +141,9 @@ class Solver:
         wake_queue: bool = True,
         intern=None,
         policy: InstantiationPolicy = DEFAULT_POLICY,
-        arena: bool | None = None,
     ) -> None:
-        from repro.core.arena_unify import make_unifier
-
-        self.unifier = make_unifier(
-            supply, budget=budget, faults=faults, tracer=tracer, intern=intern,
-            arena=arena,
+        self.unifier = Unifier(
+            supply, budget=budget, faults=faults, tracer=tracer, intern=intern
         )
         self.evidence = evidence or EvidenceStore()
         self.instances = instances or InstanceEnv()

@@ -295,9 +295,11 @@ class InternTable:
 
     A table may be *shared* across many inference runs (the serve daemon
     hands one table to every session so common prelude types are stored
-    once per process).  Sharing is safe under concurrent interning: a
-    lost race stores a structurally equal duplicate, which only costs a
-    cache miss, never a wrong answer.  ``capacity`` bounds a long-lived
+    once per process).  Sharing is safe under concurrent interning: the
+    store goes through ``dict.setdefault``, so when two threads intern
+    structurally equal types at once the loser gets the winner's node
+    back and the table never swaps the canonical object under a caller
+    that already holds it.  ``capacity`` bounds a long-lived
     shared table — once full, :meth:`intern` stops storing new nodes and
     simply returns its argument, so a daemon's memory cannot grow without
     bound with request traffic.
@@ -337,8 +339,7 @@ class InternTable:
                 tracer.inc("types.intern.full")
             return type_
         self.misses += 1
-        self._table[type_] = type_
-        return type_
+        return self._table.setdefault(type_, type_)
 
     def stats(self) -> dict[str, int]:
         """Observable counters for daemon ``stats`` surfaces."""

@@ -3,11 +3,16 @@
 import pytest
 from hypothesis import given
 
+from repro.core.env import Environment
+from repro.core.errors import GIError
+from repro.core.infer import Inferencer, InferOptions
+from repro.core.policy import EAGER_DEEP, deep_prenex
 from repro.core.sorts import Sort
 from repro.core.types import (
     BOOL,
     INT,
     Forall,
+    InternTable,
     Pred,
     TCon,
     TVar,
@@ -34,6 +39,7 @@ from repro.core.types import (
     tuple_of,
     type_size,
 )
+from repro.syntax.parser import parse_term
 
 from tests.strategies import monotypes, polytypes
 
@@ -246,3 +252,129 @@ class TestMisc:
     def test_render_qualified(self):
         qualified = forall(["a"], fun(A, BOOL), [Pred("Eq", (A,))])
         assert str(qualified) == "forall a. Eq a => a -> Bool"
+
+
+class TestInternCounters:
+    """Capacity-full interning is observable, never silent."""
+
+    def test_counts_hits_misses_and_full(self):
+        table = InternTable(capacity=2)
+        first = table.intern(TCon("Int"))
+        table.intern(TCon("Bool"))
+        assert table.misses == 2
+        assert table.intern(TCon("Int")) is first
+        assert table.hits == 1
+        overflow = fun(TCon("Int"), TCon("Bool"))
+        result = table.intern(overflow)
+        assert result is overflow, "full table returns its argument"
+        assert table.full_events == 1
+        assert table.stats() == {
+            "size": 2,
+            "hits": 1,
+            "misses": 2,
+            "full_events": 1,
+        }
+
+    def test_full_event_reaches_the_tracer(self):
+        from repro.observability import Tracer
+
+        tracer = Tracer()
+        table = InternTable(capacity=1)
+        table.attach_tracer(tracer)
+        table.intern(TCon("Int"))
+        table.intern(TCon("Bool"))
+        assert table.full_events == 1
+        assert tracer.metrics.counters.get("types.intern.full") == 1
+
+    def test_lost_race_returns_the_winner(self):
+        # Another thread interns a structurally equal node between this
+        # call's lookup and its store.  The loser must get the winner's
+        # node back; overwriting it would hand two threads two distinct
+        # "canonical" objects and break every ``is``-keyed cache.
+        class RacingTable(dict):
+            def __init__(self, rival):
+                super().__init__()
+                self.rival = rival
+
+            def get(self, key, default=None):
+                found = super().get(key, default)
+                if found is None and self.rival is not None:
+                    rival, self.rival = self.rival, None
+                    self[rival] = rival
+                return found
+
+        rival = fun(TCon("Int"), TCon("Bool"))
+        mine = fun(TCon("Int"), TCon("Bool"))
+        assert rival is not mine
+        table = InternTable()
+        table._table = RacingTable(rival)
+        assert table.intern(mine) is rival
+        assert table.intern(mine) is rival
+        assert len(table) == 1
+
+    def test_inference_stays_correct_after_capacity_reached(self):
+        # The regression the counter exists for: a tiny shared table fills
+        # immediately, interning degrades to pass-through, and inference
+        # must still produce the same types as with an unbounded table —
+        # with the degradation observable on the counters.
+        env = Environment({"id": ID, "one": INT})
+
+        def outcome(inferencer, source):
+            try:
+                return str(inferencer.infer(parse_term(source)).type_)
+            except GIError as error:
+                return type(error).__name__
+
+        sources = ["id one", "id id", r"\x -> id x", "let f = id in f one"]
+        expected = [outcome(Inferencer(env), s) for s in sources]
+        tables = []
+        for capacity in (0, 1, 4):
+            table = InternTable(capacity=capacity)
+            tables.append(table)
+            inferencer = Inferencer(env, intern=table)
+            got = [outcome(inferencer, s) for s in sources]
+            assert got == expected, f"capacity={capacity} changed inference"
+        assert tables[0].full_events > 0, "a full table must report degradation"
+        assert all(len(t) <= t.capacity for t in tables), "bound must hold"
+        assert any(t.hits > 0 for t in tables), "interning must stay observable"
+
+
+class TestDeepPrenexInterning:
+    """``deep_prenex`` rebuilds are re-interned so its ``is``-based fixed
+    point survives shared tables."""
+
+    NESTED = fun(INT, ID)
+
+    def test_rebuild_is_interned(self):
+        table = InternTable()
+        first = deep_prenex(self.NESTED, intern=table)
+        second = deep_prenex(self.NESTED, intern=table)
+        assert first is second, "same table must yield the identical object"
+        assert deep_prenex(first, intern=table) is first, "fixed point by is"
+
+    def test_roundtrip_through_second_shared_table(self):
+        # The serve multi-session case: a type prenexed against one
+        # session's view of the shared table, then re-interned through a
+        # second fresh-but-shared table, must still satisfy object
+        # identity = structural identity inside each table.
+        nested = Forall(("b",), fun(B, forall(["a"], fun(A, B))), (Pred("Eq", (B,)),))
+        first_table = InternTable()
+        hoisted = deep_prenex(nested, intern=first_table)
+        assert first_table.intern(hoisted) is hoisted
+        second_table = InternTable()
+        via_second = second_table.intern(hoisted)
+        assert via_second == hoisted
+        assert deep_prenex(via_second, intern=second_table) is via_second
+        # And hoisting the original against the second table canonicalises
+        # to the same node the round-tripped object occupies.
+        assert deep_prenex(nested, intern=second_table) is via_second
+
+    def test_solver_threads_its_table_through_deep_policies(self):
+        env = Environment({"mk": fun(INT, fun(INT, ID)), "one": INT})
+        options = InferOptions(policy=EAGER_DEEP)
+        shared = InternTable()
+        for intern in (None, shared, shared):
+            inferencer = Inferencer(env, options=options, intern=intern)
+            result = inferencer.infer(parse_term("mk one"))
+            assert str(result.type_) == "forall a. Int -> a -> a"
+        assert shared.hits > 0

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 
 from repro.core.errors import (
+    GIError,
     OccursCheckError,
     SkolemEscapeError,
     SortError,
     UnificationError,
 )
+from repro.core.names import NameSupply
 from repro.core.sorts import Sort
 from repro.core.types import (
     BOOL,
@@ -315,3 +317,97 @@ class TestSkolemBookkeeping:
             with pytest.raises(UnificationError):
                 unifier.unify(left, right)
         assert len(unifier.skolem_levels) == baseline
+
+
+def unifier_scenario(unifier: Unifier) -> list[str]:
+    """A battery of store operations; returns every observable."""
+    a, b = UVar("a", Sort.U, 0), UVar("b", Sort.U, 0)
+    c, m = UVar("c", Sort.T, 1), UVar("m", Sort.M, 0)
+    out = []
+    unifier.unify(a, c)
+    out += [str(unifier.zonk(a)), str(unifier.zonk(c))]
+    unifier.unify(b, fun(INT, a))
+    out.append(str(unifier.zonk(b)))
+    d, e = UVar("d", Sort.U, 0), UVar("e", Sort.U, 2)
+    unifier.unify(m, TCon("Pair", (d, e)))
+    out += [str(unifier.zonk(m)), str(unifier.zonk(d)), str(unifier.zonk(e))]
+    outer, deep = UVar("o", Sort.U, 0), UVar("dd", Sort.U, 3)
+    unifier.unify(outer, fun(deep, INT))
+    out += [str(unifier.zonk(outer)), str(unifier.zonk(deep))]
+    s1 = forall(["x"], fun(TVar("x"), TVar("x")))
+    s2 = forall(["y"], fun(TVar("y"), TVar("y")))
+    f = UVar("f", Sort.U, 0)
+    unifier.unify(fun(s1, f), fun(s2, BOOL))
+    out.append(str(unifier.zonk(f)))
+    for left, right in ((a, list_of(a)), (INT, BOOL)):
+        try:
+            unifier.unify(left, right)
+        except GIError as error:
+            out.append(type(error).__name__)
+    g, h = UVar("g", Sort.U, 0), UVar("h", Sort.U, 0)
+    unifier.assign(g, h)
+    unifier.assign(h, TCon("Char"))
+    out.append(str(unifier.zonk(g)))
+    out.append(f"bindings={unifier.bindings}")
+    out.append(f"subst={len(unifier.subst)}")
+    out.append(f"next={unifier.supply.fresh()}")
+    out.append(f"skolems={sorted(unifier.skolem_levels)}")
+    return out
+
+
+class TestSubstitutionStore:
+    def test_scenario_battery(self):
+        assert unifier_scenario(Unifier(NameSupply("v"))) == [
+            "v0^t",
+            "v0^t",
+            "Int -> v0^t",
+            "Pair v1^m v3^m",
+            "v1^m",
+            "v3^m",
+            "v4^u -> Int",
+            "v4^u",
+            "Bool",
+            "OccursCheckError",
+            "UnificationError",
+            "Char",
+            "bindings=12",
+            "subst=12",
+            "next=v6",
+            "skolems=[]",
+        ]
+
+    def test_subst_view_protocol(self):
+        unifier = Unifier(NameSupply("v"))
+        a, b = UVar("a"), UVar("b")
+        assert not unifier.subst and len(unifier.subst) == 0
+        assert a not in unifier.subst
+        unifier.assign(a, b)
+        unifier.assign(b, INT)
+        assert a in unifier.subst and b in unifier.subst
+        assert unifier.subst.get(a) == b
+        assert unifier.subst[b] == INT
+        assert len(unifier.subst) == 2
+        listed = dict(unifier.subst.items())
+        assert listed[a] == b and listed[b] == INT
+
+    def test_zonk_identity_contract(self):
+        # ``deep_prenex`` and friends detect fixed points by identity, so
+        # a clean type must come back as the same object.
+        unifier = Unifier(NameSupply("v"))
+        clean = fun(INT, BOOL)
+        assert unifier.zonk(clean) is clean
+        assert unifier.zonk_head(clean) is clean
+        assert unifier.zonk(ID) is ID
+
+    def test_on_bind_fires_with_structural_keys(self):
+        # The solver's wake-queue is keyed by UVar structurally, so
+        # binding notifications must carry UVar keys.
+        fired = []
+        unifier = Unifier(NameSupply("v"))
+        unifier.on_bind = fired.append
+        a, b = UVar("a"), UVar("b")
+        unifier.unify(a, b)
+        unifier.unify(b, INT)
+        assert fired, "bindings must notify"
+        assert all(isinstance(v, UVar) for v in fired)
+        assert {v.name for v in fired} <= {"a", "b"}
