@@ -10,8 +10,8 @@ writes the numbers to ``BENCH_core.json`` at the repo root:
 * ``gen_chain`` — a dependency chain of deferred generalisation
   constraints (:func:`repro.evalsuite.workloads.gen_chain_constraints`).
   The variable-indexed wake-up queue pops each deferred constraint O(1)
-  times; the legacy re-scan mode (``Solver(wake_queue=False)``) revisits
-  every still-blocked constraint per round.  Wake mode must win by
+  times; the re-scan reference scheduler (``tests/reference_solver.py``)
+  revisits every still-blocked constraint per round.  Wake mode must win by
   >= 1.5x and its step count must stay linear.
 * ``figure2`` — the full Figure-2 inference sweep: the fast path must
   not regress the paper suite (accept count and total solver steps are
@@ -48,6 +48,7 @@ from repro.evalsuite.workloads import (
     defaulting_fan,
     gen_chain_constraints,
 )
+from tests.reference_solver import RescanSolver
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REPEATS = 3 if SMOKE else 7
@@ -117,9 +118,8 @@ def _var_chain_dict(length: int) -> float:
 
 def _gen_chain(length: int, wake: bool) -> tuple[float, int]:
     constraints = gen_chain_constraints(length)
-    solver = Solver(
-        NameSupply("b"), EvidenceStore(), InstanceEnv(), wake_queue=wake
-    )
+    solver_class = Solver if wake else RescanSolver
+    solver = solver_class(NameSupply("b"), EvidenceStore(), InstanceEnv())
     start = time.perf_counter()
     solver.solve(constraints)
     return time.perf_counter() - start, solver.steps

@@ -338,7 +338,7 @@ def cmd_module(
             obs.finish()
 
 
-def cmd_fuzz(arguments, obs: _Obs | None = None) -> int:
+def cmd_fuzz(arguments, policy=None, obs: _Obs | None = None) -> int:
     from pathlib import Path
 
     from repro.conformance import (
@@ -369,11 +369,6 @@ def cmd_fuzz(arguments, obs: _Obs | None = None) -> int:
                 f"(available: {', '.join(SYSTEMS)}; see `repro systems`)",
                 file=sys.stderr,
             )
-            return 2
-    policy = None
-    if arguments.policy is not None:
-        policy = _resolve_policy(arguments.policy)
-        if policy is None:
             return 2
     config = FuzzConfig(
         seed=arguments.seed,
@@ -997,7 +992,7 @@ def main(argv: list[str] | None = None) -> int:
             obs=_Obs.from_args(arguments),
         )
     if arguments.command == "fuzz":
-        return cmd_fuzz(arguments, obs=_Obs.from_args(arguments))
+        return cmd_fuzz(arguments, policy=policy, obs=_Obs.from_args(arguments))
     if arguments.command == "systems":
         return cmd_systems(arguments)
     if arguments.command == "serve":

@@ -9,16 +9,9 @@ unification — and completely independent of the GI machinery.
 
 from __future__ import annotations
 
+from repro.baselines.base import BaselineInferencer
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    ScopeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
-from repro.core.sorts import Sort
+from repro.core.errors import ScopeError, TypeError_, UnificationError
 from repro.core.terms import (
     Ann,
     AnnLam,
@@ -35,14 +28,9 @@ from repro.core.types import (
     TCon,
     TVar,
     Type,
-    UVar,
-    contains_uvar,
-    forall,
     ftv,
     fun,
-    fuv,
     is_fully_monomorphic,
-    rename_canonical,
     strip_forall,
     subst_tvars,
 )
@@ -52,7 +40,7 @@ class HMError(TypeError_):
     """A rank-1 type error."""
 
 
-class HMInferencer:
+class HMInferencer(BaselineInferencer):
     """Algorithm W over the shared term/type ASTs.
 
     Environment entries must be rank-1 (``∀ā.τ``); looking up a binding
@@ -60,104 +48,24 @@ class HMInferencer:
     own expressiveness.
     """
 
-    def __init__(self, env: Environment, budget=None) -> None:
-        self.env = env
-        self.budget = budget
-        self.supply = NameSupply("w")
-        self.subst: dict[UVar, Type] = {}
+    error = HMError
+    supply_prefix = "w"
 
-    # -- plumbing --------------------------------------------------------
-
-    def fresh(self) -> UVar:
-        return UVar(self.supply.fresh(), Sort.M)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            if contains_uvar(right, left):
-                raise OccursCheckError(left, right)
-            self.subst[left] = right
-            return
-        if isinstance(right, UVar):
-            self.unify(right, left, depth)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
+    def _unify_forall(self, left: Forall, right: Forall, depth: int) -> None:
+        # Rank-1: two quantified types never meet.
         raise UnificationError(left, right)
 
     def instantiate(self, scheme: Type) -> Type:
         binders, body = strip_forall(scheme)
         if isinstance(scheme, Forall) and scheme.context:
-            raise HMError("class contexts are outside the HM baseline")
+            raise self.error("class contexts are outside the HM baseline")
         if not is_fully_monomorphic(body):
-            raise HMError(
+            raise self.error(
                 f"environment type `{scheme}` is not rank-1; outside the "
                 f"Hindley-Milner fragment"
             )
         mapping = {name: self.fresh() for name in binders}
         return subst_tvars(mapping, body)
-
-    def generalize(self, env_types: list[Type], type_: Type) -> Type:
-        type_ = self.zonk(type_)
-        env_vars: set[UVar] = set()
-        for env_type in env_types:
-            env_vars.update(fuv(self.zonk(env_type)))
-        free = [variable for variable in _ordered_vars(type_) if variable not in env_vars]
-        names = []
-        used = ftv(type_)
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(type_))
-
-    # -- inference --------------------------------------------------------
-
-    def infer(self, term: Term) -> Type:
-        """The principal rank-1 type of a term (generalised)."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        type_ = self._infer(term, local)
-        return rename_canonical(self.generalize(list(local.values()), type_))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
 
     def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
@@ -180,7 +88,7 @@ class HMInferencer:
             return fun(binder, body)
         if isinstance(term, AnnLam):
             if not is_fully_monomorphic(term.annotation):
-                raise HMError("polymorphic lambda annotations are outside HM")
+                raise self.error("polymorphic lambda annotations are outside HM")
             inner = dict(local)
             inner[term.var] = term.annotation
             body = self._infer(term.body, inner)
@@ -189,7 +97,7 @@ class HMInferencer:
             inferred = self._infer(term.expr, local)
             binders, body = strip_forall(term.annotation)
             if not is_fully_monomorphic(body):
-                raise HMError("higher-rank annotations are outside HM")
+                raise self.error("higher-rank annotations are outside HM")
             # Rank-1 signatures are checked by instantiating the signature
             # with fresh *rigid* variables and unifying; the rigids must
             # not leak into the environment.
@@ -198,7 +106,7 @@ class HMInferencer:
             self.unify(inferred, subst_tvars(mapping, body))
             for env_type in local.values():
                 if rigids & ftv(self.zonk(env_type)):
-                    raise HMError("signature variable would escape its scope")
+                    raise self.error("signature variable would escape its scope")
             # The expression now has the declared (rank-1) scheme; uses of
             # it instantiate freshly.
             return self.instantiate(term.annotation)
@@ -220,7 +128,7 @@ class HMInferencer:
         except ScopeError:
             raise
         if first.existentials:
-            raise HMError("existential data constructors are outside HM")
+            raise self.error("existential data constructors are outside HM")
         alphas = {name: self.fresh() for name in first.universals}
         self.unify(
             scrutinee, TCon(first.result_con, tuple(alphas[n] for n in first.universals))
@@ -229,31 +137,14 @@ class HMInferencer:
         for alt in term.alts:
             datacon = self.env.lookup_datacon(alt.constructor)
             if datacon.result_con != first.result_con:
-                raise HMError("mixed constructors in case")
+                raise self.error("mixed constructors in case")
             fields = [subst_tvars(alphas, field) for field in datacon.fields]
             if any(not is_fully_monomorphic(self.zonk(field)) for field in fields):
-                raise HMError("polymorphic fields are outside HM")
+                raise self.error("polymorphic fields are outside HM")
             inner = dict(local)
             inner.update(dict(zip(alt.binders, fields)))
             self.unify(result, self._infer(alt.rhs, inner))
         return result
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
 
 
 def hm_infer(term: Term, env: Environment) -> Type:

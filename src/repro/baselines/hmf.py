@@ -34,17 +34,9 @@ impredicatively — declared quantifiers from the environment may be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.baselines.base import BaselineInferencer
 from repro.core.env import Environment
-from repro.core.errors import (
-    GIError,
-    OccursCheckError,
-    SkolemEscapeError,
-    TypeError_,
-    UnificationError,
-)
-from repro.core.names import NameSupply, letters
+from repro.core.errors import OccursCheckError, SkolemEscapeError, TypeError_
 from repro.core.sorts import Sort
 from repro.core.terms import (
     Ann,
@@ -63,13 +55,11 @@ from repro.core.types import (
     TVar,
     Type,
     UVar,
-    alpha_equal,
     contains_uvar,
-    forall,
     ftv,
     fun,
     fuv,
-    is_fully_monomorphic,
+    mentions_forall,
     rename_canonical,
     strip_forall,
     subst_tvars,
@@ -87,91 +77,32 @@ class HMFError(TypeError_):
 #   Sort.U — a declared quantifier's instantiation: unrestricted.
 
 
-class HMFInferencer:
-    """One HMF inference engine over the shared ASTs."""
+class HMFInferencer(BaselineInferencer):
+    """One HMF inference engine over the shared ASTs.
+
+    Quantifiers introduced by our own generalisation (as opposed to
+    declared in the environment or an annotation) carry a ``%`` mark:
+    re-instantiating them must stay predicative.
+    """
+
+    error = HMFError
+    supply_prefix = "h"
+    fresh_sort = Sort.U
 
     def __init__(self, env: Environment, nary: bool = False, budget=None) -> None:
-        self.env = env
+        super().__init__(env, budget)
         self.nary = nary
-        self.budget = budget
-        self.supply = NameSupply("h")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
-        # Quantifiers introduced by our own generalisation (as opposed to
-        # declared in the environment or an annotation): re-instantiating
-        # these must stay predicative.
-        self.inferred_quantifiers: set[str] = set()
-
-    # -- plumbing --------------------------------------------------------
-
-    def fresh(self, sort: Sort = Sort.U) -> UVar:
-        return UVar(self.supply.fresh(), sort)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    # -- unification ------------------------------------------------------
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
-        if isinstance(left, Forall) and isinstance(right, Forall):
-            if not alpha_equal(left, right):
-                self._unify_forall(left, right)
-            return
-        raise UnificationError(left, right)
-
-    def _unify_forall(self, left: Forall, right: Forall) -> None:
-        if len(left.binders) != len(right.binders):
-            raise UnificationError(left, right, "different numbers of quantifiers")
-        shared = [self._fresh_skolem(name) for name in left.binders]
-        left_map = {n: TVar(s) for n, s in zip(left.binders, shared)}
-        right_map = {n: TVar(s) for n, s in zip(right.binders, shared)}
-        self.unify(subst_tvars(left_map, left.body), subst_tvars(right_map, right.body))
-        # The shared skolems must not leak into the substitution images of
-        # any outer variable.
-        for skolem in shared:
-            for variable, image in list(self.subst.items()):
-                if skolem in ftv(self.zonk(image)) and variable not in fuv(
-                    self.zonk(left)
-                ):
-                    raise SkolemEscapeError(skolem, self.zonk(image))
 
     def _bind(self, variable: UVar, type_: Type) -> None:
         if contains_uvar(type_, variable):
             raise OccursCheckError(variable, type_)
-        if variable.sort is Sort.M and _mentions_forall(type_):
-            raise HMFError(
+        if variable.sort is Sort.M and mentions_forall(type_):
+            raise self.error(
                 f"monomorphic variable `{variable}` cannot be `{type_}` "
                 f"(annotate the lambda binder)"
             )
         if variable.sort is Sort.T and isinstance(type_, Forall):
-            raise HMFError(
+            raise self.error(
                 f"ambiguous impredicative instantiation: inferred quantifier "
                 f"`{variable}` would become `{type_}` (minimal instantiation "
                 f"chooses the monomorphic alternative)"
@@ -179,11 +110,6 @@ class HMFInferencer:
         self.subst[variable] = type_
 
     # -- instantiation / generalisation -----------------------------------
-
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
 
     def instantiate(self, scheme: Type, predicative: bool = False) -> Type:
         """Strip the top quantifiers with fresh variables.
@@ -200,32 +126,15 @@ class HMFInferencer:
         mapping = {}
         arrow_vars = _vars_under_arrow(body) if predicative else set()
         for name in binders:
-            if name in self.inferred_quantifiers or name in arrow_vars:
+            if name.endswith("%") or name in arrow_vars:
                 sort = Sort.T
             else:
                 sort = Sort.U
             mapping[name] = self.fresh(sort)
         return subst_tvars(mapping, body)
 
-    def generalize(self, env_types: list[Type], type_: Type) -> Type:
-        type_ = self.zonk(type_)
-        env_vars: set[UVar] = set()
-        for env_type in env_types:
-            env_vars.update(fuv(self.zonk(env_type)))
-        free = [v for v in _ordered_vars(type_) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(type_))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                fresh_name = f"{candidate}%"  # marked as inferred
-                if fresh_name not in used:
-                    used.add(fresh_name)
-                    names.append(fresh_name)
-                    self.inferred_quantifiers.add(fresh_name)
-                    self.subst[variable] = TVar(fresh_name)
-                    break
-        return forall(names, self.zonk(type_))
+    def _quantifier_name(self, candidate: str) -> str:
+        return f"{candidate}%"  # marked as inferred
 
     def subsume(self, expected: Type, offered: Type) -> None:
         """``offered`` must be at least as polymorphic as ``expected``."""
@@ -261,18 +170,6 @@ class HMFInferencer:
         type_ = self._infer(term, local)
         result = self.generalize(list(local.values()), type_)
         return rename_canonical(_strip_marks(result))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
 
     def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
@@ -324,7 +221,7 @@ class HMFInferencer:
             elif isinstance(current, TCon) and current.name == "->":
                 parameter, current = current.args
             else:
-                raise HMFError(f"too many arguments for type `{current}`")
+                raise self.error(f"too many arguments for type `{current}`")
             params.append(parameter)
         if expected is not None:
             # Type propagation: the expected type fixes the result before
@@ -431,45 +328,33 @@ def _vars_under_arrow(type_: Type, under_arrow: bool = False) -> set[str]:
     return result
 
 
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
-
-
 def _strip_marks(type_: Type) -> Type:
-    """Remove the ``%`` inferred-quantifier marks before display."""
-    if isinstance(type_, TVar):
-        return TVar(type_.name.rstrip("%"))
-    if isinstance(type_, TCon):
-        return TCon(type_.name, tuple(_strip_marks(a) for a in type_.args))
-    if isinstance(type_, Forall):
-        return Forall(
-            tuple(name.rstrip("%") for name in type_.binders),
-            _strip_marks(type_.body),
-            type_.context,
-        )
-    return type_
-
+    """Remove the ``%`` inferred-quantifier marks before display
+    (explicit stack, like :meth:`BaselineInferencer.zonk`)."""
+    results: list[Type] = []
+    stack: list[tuple[Type, bool]] = [(type_, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            if isinstance(node, TCon):
+                count = len(node.args)
+                args = tuple(results[-count:])
+                del results[-count:]
+                results.append(TCon(node.name, args))
+            else:
+                binders = tuple(name.rstrip("%") for name in node.binders)
+                results.append(Forall(binders, results.pop(), node.context))
+        elif isinstance(node, TVar):
+            results.append(TVar(node.name.rstrip("%")))
+        elif isinstance(node, TCon) and node.args:
+            stack.append((node, True))
+            stack.extend((argument, False) for argument in reversed(node.args))
+        elif isinstance(node, Forall):
+            stack.append((node, True))
+            stack.append((node.body, False))
+        else:
+            results.append(node)
+    return results[0]
 
 def hmf_infer(term: Term, env: Environment, nary: bool = False) -> Type:
     """Convenience wrapper."""

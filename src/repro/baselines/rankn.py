@@ -20,16 +20,14 @@ Architecture, following the JFP paper:
 
 from __future__ import annotations
 
+from repro.baselines.base import BaselineInferencer
 from repro.core.env import Environment
 from repro.core.errors import (
-    GIError,
     OccursCheckError,
     SkolemEscapeError,
     TypeError_,
     UnificationError,
 )
-from repro.core.names import NameSupply, letters
-from repro.core.sorts import Sort
 from repro.core.terms import (
     Ann,
     AnnLam,
@@ -48,11 +46,10 @@ from repro.core.types import (
     Type,
     UVar,
     contains_uvar,
-    forall,
     ftv,
     fun,
     fuv,
-    rename_canonical,
+    mentions_forall,
     strip_forall,
     subst_tvars,
 )
@@ -62,7 +59,7 @@ class RankNError(TypeError_):
     """A predicative higher-rank type error."""
 
 
-class RankNInferencer:
+class RankNInferencer(BaselineInferencer):
     """Bidirectional predicative arbitrary-rank inference.
 
     ``policy`` (an :class:`~repro.core.policy.InstantiationPolicy`, or
@@ -75,79 +72,32 @@ class RankNInferencer:
     forces instantiation (GHC 9's lazy instantiation).
     """
 
+    error = RankNError
+    supply_prefix = "r"
+
     def __init__(self, env: Environment, budget=None, policy=None) -> None:
-        self.env = env
-        self.budget = budget
+        super().__init__(env, budget)
         self.policy = policy
         self._lazy = policy is not None and policy.lazy
         self._deep = policy is None or policy.deep
-        self.supply = NameSupply("r")
-        self.subst: dict[UVar, Type] = {}
-        self.skolems: set[str] = set()
 
-    # -- plumbing ---------------------------------------------------------
+    # -- unification ------------------------------------------------------
 
-    def fresh(self) -> UVar:
-        return UVar(self.supply.fresh(), Sort.M)
-
-    def zonk(self, type_: Type) -> Type:
-        if isinstance(type_, UVar):
-            bound = self.subst.get(type_)
-            return type_ if bound is None else self.zonk(bound)
-        if isinstance(type_, TCon):
-            return TCon(type_.name, tuple(self.zonk(a) for a in type_.args))
-        if isinstance(type_, Forall):
-            return Forall(type_.binders, self.zonk(type_.body), type_.context)
-        return type_
-
-    def unify(self, left: Type, right: Type, depth: int = 0) -> None:
-        if self.budget is not None:
-            self.budget.check_unify_depth(depth, left, right)
-        left, right = self.zonk(left), self.zonk(right)
-        if left == right:
-            return
-        if isinstance(left, UVar):
-            self._bind(left, right)
-            return
-        if isinstance(right, UVar):
-            self._bind(right, left)
-            return
-        if (
-            isinstance(left, TCon)
-            and isinstance(right, TCon)
-            and left.name == right.name
-            and len(left.args) == len(right.args)
-        ):
-            for left_argument, right_argument in zip(left.args, right.args):
-                self.unify(left_argument, right_argument, depth + 1)
-            return
+    def _unify_forall(self, left: Forall, right: Forall, depth: int) -> None:
+        # Predicative: quantified types are never equated.
         raise UnificationError(left, right)
 
     def _bind(self, variable: UVar, type_: Type) -> None:
         if contains_uvar(type_, variable):
             raise OccursCheckError(variable, type_)
-        if _mentions_forall(type_):
-            raise RankNError(
+        if mentions_forall(type_):
+            raise self.error(
                 f"predicativity violation: `{variable}` cannot stand for the "
                 f"polymorphic type `{type_}`"
             )
         self.subst[variable] = type_
 
-    def _fresh_skolem(self, hint: str) -> str:
-        name = self.supply.fresh(hint + "_sk")
-        self.skolems.add(name)
-        return name
-
-    # -- instantiation / skolemisation / subsumption -----------------------
-
-    def instantiate(self, scheme: Type) -> Type:
-        """``σ`` to ``ρ`` with fresh (monotype) unification variables."""
-        scheme = self.zonk(scheme)
-        binders, body = strip_forall(scheme)
-        if not binders:
-            return scheme
-        mapping = {name: self.fresh() for name in binders}
-        return subst_tvars(mapping, body)
+    # -- skolemisation / subsumption ---------------------------------------
 
     def deep_skolemise(self, scheme: Type) -> tuple[list[str], Type]:
         """Peel quantifiers at the top — and, under a deep policy, to the
@@ -217,46 +167,7 @@ class RankNInferencer:
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, term: Term) -> Type:
-        """The inferred σ-type of a term."""
-        if self.budget is not None:
-            self.budget.start()
-        self.subst = {}
-        local: dict[str, Type] = {}
-        rho = self._infer_rho(term, local)
-        return rename_canonical(self._generalize(local, rho))
-
-    def accepts(self, term: Term) -> bool:
-        try:
-            self.infer(term)
-            return True
-        except GIError:
-            return False
-
-    def _generalize(self, local: dict[str, Type], rho: Type) -> Type:
-        rho = self.zonk(rho)
-        env_vars: set[UVar] = set()
-        for type_ in local.values():
-            env_vars.update(fuv(self.zonk(type_)))
-        free = [v for v in _ordered_vars(rho) if v not in env_vars]
-        names: list[str] = []
-        used = set(ftv(rho))
-        supply = letters()
-        for variable in free:
-            for candidate in supply:
-                if candidate not in used:
-                    used.add(candidate)
-                    names.append(candidate)
-                    self.subst[variable] = TVar(candidate)
-                    break
-        return forall(names, self.zonk(rho))
-
-    def _lookup(self, name: str, local: dict[str, Type]) -> Type:
-        if name in local:
-            return local[name]
-        return self.env.lookup(name)
-
-    def _infer_rho(self, term: Term, local: dict[str, Type]) -> Type:
+    def _infer(self, term: Term, local: dict[str, Type]) -> Type:
         if isinstance(term, Var):
             if self._lazy:
                 # Lazy instantiation: keep the polytype; elimination
@@ -266,7 +177,7 @@ class RankNInferencer:
         if isinstance(term, Lit):
             return term.type_
         if isinstance(term, App):
-            fn_rho = self._infer_rho(term.head, local)
+            fn_rho = self._infer(term.head, local)
             for argument in term.args:
                 fn_rho = self.zonk(fn_rho)
                 if isinstance(fn_rho, Forall):
@@ -277,7 +188,7 @@ class RankNInferencer:
                 elif isinstance(fn_rho, TCon) and fn_rho.name == "->":
                     parameter, result = fn_rho.args
                 else:
-                    raise RankNError(f"too many arguments for `{fn_rho}`")
+                    raise self.error(f"too many arguments for `{fn_rho}`")
                 self._check_arg(argument, parameter, local)
                 fn_rho = result
             return self.zonk(fn_rho)
@@ -285,12 +196,12 @@ class RankNInferencer:
             binder = self.fresh()
             inner = dict(local)
             inner[term.var] = binder
-            body = self._infer_rho(term.body, inner)
+            body = self._infer(term.body, inner)
             return fun(binder, body)
         if isinstance(term, AnnLam):
             inner = dict(local)
             inner[term.var] = term.annotation
-            body = self._infer_rho(term.body, inner)
+            body = self._infer(term.body, inner)
             return fun(term.annotation, body)
         if isinstance(term, Ann):
             # Annotations switch to checking mode (the whole point of the
@@ -303,14 +214,14 @@ class RankNInferencer:
             bound = self._infer_sigma(term.bound, local)
             inner = dict(local)
             inner[term.var] = bound
-            return self._infer_rho(term.body, inner)
+            return self._infer(term.body, inner)
         if isinstance(term, Case):
             return self._infer_case(term, local)
         raise TypeError(f"unknown term node: {term!r}")
 
     def _infer_sigma(self, term: Term, local: dict[str, Type]) -> Type:
-        rho = self._infer_rho(term, local)
-        return self._generalize(local, rho)
+        rho = self._infer(term, local)
+        return self.generalize(local.values(), rho)
 
     def _check_arg(self, argument: Term, parameter: Type, local: dict[str, Type]) -> None:
         parameter = self.zonk(parameter)
@@ -353,11 +264,11 @@ class RankNInferencer:
             inner[term.var] = term.annotation
             self._check_rho(term.body, expected_rho.args[1], inner)
             return
-        offered = self._infer_rho(term, local)
-        self._subsume_rho(self._generalize(local, offered), expected_rho)
+        offered = self._infer(term, local)
+        self._subsume_rho(self.generalize(local.values(), offered), expected_rho)
 
     def _infer_case(self, term: Case, local: dict[str, Type]) -> Type:
-        scrutinee = self._infer_rho(term.scrutinee, local)
+        scrutinee = self._infer(term.scrutinee, local)
         if isinstance(self.zonk(scrutinee), Forall):
             # Reachable only under a lazy policy: matching forces
             # instantiation.
@@ -377,36 +288,11 @@ class RankNInferencer:
             fields = [subst_tvars(mapping, field) for field in datacon.fields]
             inner = dict(local)
             inner.update(dict(zip(alt.binders, fields)))
-            rhs = self._infer_rho(alt.rhs, inner)
+            rhs = self._infer(alt.rhs, inner)
             if isinstance(self.zonk(rhs), Forall):
                 rhs = self.instantiate(rhs)
             self.unify(result, rhs)
         return self.zonk(result)
-
-
-def _mentions_forall(type_: Type) -> bool:
-    if isinstance(type_, Forall):
-        return True
-    if isinstance(type_, TCon):
-        return any(_mentions_forall(argument) for argument in type_.args)
-    return False
-
-
-def _ordered_vars(type_: Type) -> list[UVar]:
-    seen: list[UVar] = []
-
-    def go(node: Type) -> None:
-        if isinstance(node, UVar):
-            if node not in seen:
-                seen.append(node)
-        elif isinstance(node, TCon):
-            for argument in node.args:
-                go(argument)
-        elif isinstance(node, Forall):
-            go(node.body)
-
-    go(type_)
-    return seen
 
 
 def rankn_infer(term: Term, env: Environment) -> Type:

@@ -353,7 +353,7 @@ def _solver_snapshot(solver: "Solver | None") -> dict:
         "pending_constraints": len(solver.queue),
         "deferred_constraints": len(solver.deferred),
         "current_level": solver.current_level,
-        "substitution_size": len(solver.unifier.subst),
+        "substitution_size": solver.unifier.substitution_size(),
         "solver_steps": solver.steps,
     }
 

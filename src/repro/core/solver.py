@@ -28,10 +28,7 @@ one at a time — impredicativity is never guessed (Theorem 3.2).
 Deferred constraints are scheduled through a *variable-indexed wake-up
 queue*: each parked constraint registers watches on the unification
 variables that block it, and the unifier's ``on_bind`` hook re-queues it
-the moment one of them is solved.  The old behaviour — re-scanning the
-whole deferred list whenever any binding happened — is kept behind
-``wake_queue=False`` as a reference implementation for the equivalence
-property tests and the core benchmark.
+the moment one of them is solved, so a drained queue is the fixpoint.
 """
 
 from __future__ import annotations
@@ -124,9 +121,7 @@ class Solver:
     hook.  ``defaulting=False`` disables the Section 4.3.2 defaulting of
     blocked unrestricted variables, so an underdetermined program fails
     deterministically with :class:`StuckConstraintError` instead of being
-    completed with guessed monomorphic types.  ``wake_queue=False``
-    selects the legacy whole-list re-scan scheduler (same answers, more
-    steps) kept for differential testing and benchmarking.
+    completed with guessed monomorphic types.
     """
 
     def __init__(
@@ -138,7 +133,6 @@ class Solver:
         faults: "FaultPlan | None" = None,
         defaulting: bool = True,
         tracer: "TracerLike | None" = None,
-        wake_queue: bool = True,
         intern=None,
         policy: InstantiationPolicy = DEFAULT_POLICY,
     ) -> None:
@@ -154,7 +148,6 @@ class Solver:
         self.faults = faults
         self.tracer = tracer
         self.defaulting = defaulting
-        self.wake_queue = wake_queue
         self.policy = policy
         self._watches: dict[UVar, list[_Deferred]] = {}
         self.steps = 0
@@ -175,34 +168,9 @@ class Solver:
         top level to quantify over).  Raises on any type error."""
         for constraint in constraints:
             self.queue.append((constraint, self.root))
-        if self.wake_queue:
-            self.unifier.on_bind = self._wake
+        self.unifier.on_bind = self._wake
         try:
-            if self.wake_queue:
-                # Bindings re-queue their watchers inside ``_drain``
-                # itself, so a drained queue with live deferred entries
-                # *is* the fixpoint — no progress mark, no re-scan.
-                while True:
-                    self._drain()
-                    self._compact_deferred()
-                    if not self.deferred:
-                        break
-                    if self.defaulting and self._default_one():
-                        continue
-                    break
-            else:
-                while True:
-                    self._drain()
-                    if not self.deferred:
-                        break
-                    mark = self.unifier.bindings
-                    self._requeue_deferred()
-                    self._drain()
-                    if self.unifier.bindings != mark:
-                        continue
-                    if self.defaulting and self._default_one():
-                        continue
-                    break
+            self._schedule()
         finally:
             self.unifier.on_bind = None
         live = [entry for entry in self.deferred if not entry.woken]
@@ -223,6 +191,21 @@ class Solver:
             rendered = [self._zonk_constraint_for_report(c) for c in hard]
             raise StuckConstraintError(rendered)
         return residual_classes
+
+    def _schedule(self) -> None:
+        """Run the queue to fixpoint, defaulting one blocker at a time.
+
+        Bindings re-queue their watchers inside ``_drain`` itself, so a
+        drained queue with live deferred entries *is* the fixpoint — no
+        progress mark, no re-scan."""
+        while True:
+            self._drain()
+            self._compact_deferred()
+            if not self.deferred:
+                break
+            if self.defaulting and self._default_one():
+                continue
+            break
 
     def _drain(self) -> None:
         while self.queue:
@@ -245,11 +228,6 @@ class Solver:
                     constraint=str(constraint),
                 )
             self._step(constraint, scope)
-
-    def _requeue_deferred(self) -> None:
-        pending = [entry for entry in self.deferred if not entry.woken]
-        self.deferred = []
-        self.queue.extend((entry.constraint, entry.scope) for entry in pending)
 
     def _compact_deferred(self) -> None:
         """Drop woken (dead) entries so the deferred list stays small."""
@@ -317,11 +295,9 @@ class Solver:
                 self.tracer.event(
                     "solver.default", var=str(blocker), demoted_to=str(demoted)
                 )
-            # In wake mode the assignment fires the watch hook, which
-            # re-queues exactly the constraints blocked on the variable.
+            # The assignment fires the watch hook, which re-queues
+            # exactly the constraints blocked on the variable.
             self.unifier.assign(blocker, demoted)
-            if not self.wake_queue:
-                self._requeue_deferred()
             return True
         return False
 
@@ -684,9 +660,8 @@ class Solver:
             self.tracer.event("solver.defer", constraint=str(constraint), reason=reason)
         entry = _Deferred(constraint, scope)
         self.deferred.append(entry)
-        if self.wake_queue:
-            for variable in self._watch_vars(constraint):
-                self._watches.setdefault(variable, []).append(entry)
+        for variable in self._watch_vars(constraint):
+            self._watches.setdefault(variable, []).append(entry)
 
 
 class InstanceEnv:

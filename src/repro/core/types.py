@@ -736,11 +736,12 @@ def rename_canonical(type_: Type) -> Type:
     """Rename all quantified variables to a canonical ``a, b, c, ...`` scheme.
 
     Useful for displaying principal types and for structural comparisons in
-    tests.  Free variables are left untouched.
+    tests.  Free variables are left untouched.  Binders are named in
+    pre-order (a quantifier's own binders, then its context, then its
+    body), on an explicit stack so deep types cannot overflow.
     """
     supply = letters()
-    free = ftv(type_)
-    used = set(free)
+    used = set(ftv(type_))
 
     def next_name() -> str:
         for candidate in supply:
@@ -749,29 +750,57 @@ def rename_canonical(type_: Type) -> Type:
                 return candidate
         raise RuntimeError("unreachable")
 
-    def go(node: Type, env: Mapping[str, Type]) -> Type:
-        if isinstance(node, TVar):
+    results: list[Type] = []
+    stack: list[tuple[Type, Mapping[str, Type], tuple[str, ...] | None]] = [
+        (type_, {}, None)
+    ]
+    while stack:
+        node, env, built = stack.pop()
+        if built is not None:
+            if isinstance(node, TCon):
+                count = len(node.args)
+                args = tuple(results[-count:])
+                del results[-count:]
+                results.append(TCon(node.name, args))
+            else:  # Forall: context arguments, then the body, on top
+                body = results.pop()
+                count = sum(len(p.args) for p in node.context)
+                flat = results[-count:] if count else []
+                if count:
+                    del results[-count:]
+                context = []
+                index = 0
+                for predicate in node.context:
+                    width = len(predicate.args)
+                    context.append(
+                        Pred(predicate.class_name, tuple(flat[index : index + width]))
+                    )
+                    index += width
+                results.append(Forall(built, body, tuple(context)))
+        elif isinstance(node, TVar):
             replaced = env.get(node.name)
-            return replaced if replaced is not None else node
-        if isinstance(node, UVar):
-            return node
-        if isinstance(node, TCon):
-            return TCon(node.name, tuple(go(argument, env) for argument in node.args))
-        if isinstance(node, Forall):
+            results.append(replaced if replaced is not None else node)
+        elif isinstance(node, UVar) or (isinstance(node, TCon) and not node.args):
+            results.append(node)
+        elif isinstance(node, TCon):
+            stack.append((node, env, ()))
+            for argument in reversed(node.args):
+                stack.append((argument, env, None))
+        elif isinstance(node, Forall):
             new_env = dict(env)
             new_binders = []
             for binder in node.binders:
                 fresh = next_name()
                 new_binders.append(fresh)
                 new_env[binder] = TVar(fresh)
-            new_context = tuple(
-                Pred(p.class_name, tuple(go(argument, new_env) for argument in p.args))
-                for p in node.context
-            )
-            return Forall(tuple(new_binders), go(node.body, new_env), new_context)
-        raise TypeError(f"unknown type node: {node!r}")
-
-    return go(type_, {})
+            stack.append((node, new_env, tuple(new_binders)))
+            stack.append((node.body, new_env, None))
+            for predicate in reversed(node.context):
+                for argument in reversed(predicate.args):
+                    stack.append((argument, new_env, None))
+        else:
+            raise TypeError(f"unknown type node: {node!r}")
+    return results[0]
 
 
 def type_size(type_: Type) -> int:
@@ -804,6 +833,19 @@ def contains_uvar(type_: Type, variable: UVar) -> bool:
             stack.append(node.body)
             for predicate in node.context:
                 stack.extend(predicate.args)
+    return False
+
+
+def mentions_forall(type_: Type) -> bool:
+    """Whether a quantifier occurs anywhere under type constructors
+    (iterative — deep types must not overflow)."""
+    stack: list[Type] = [type_]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Forall):
+            return True
+        if isinstance(node, TCon):
+            stack.extend(node.args)
     return False
 
 

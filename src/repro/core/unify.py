@@ -33,7 +33,7 @@ zonk-cleanliness tests cost one cache lookup on repeated types.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.errors import (
     OccursCheckError,
@@ -52,6 +52,7 @@ from repro.core.types import (
     UVar,
     ftv,
     fuv,
+    mentions_forall,
     subst_tvars,
     subst_uvars,
 )
@@ -73,59 +74,6 @@ class _PruneSkolems:
 
     def __init__(self, names: tuple[str, ...]) -> None:
         self.names = names
-
-
-class SubstitutionView:
-    """Mapping-like facade over the union-find store.
-
-    Kept for backward compatibility with the old ``subst`` dict: ``len``,
-    truthiness, membership, lookup of a variable's immediate image, and
-    item assignment (which routes through :meth:`Unifier.assign` so
-    wake-up callbacks still fire).
-    """
-
-    __slots__ = ("_unifier",)
-
-    def __init__(self, unifier: "Unifier") -> None:
-        self._unifier = unifier
-
-    def __len__(self) -> int:
-        unifier = self._unifier
-        return len(unifier._parent) + len(unifier._binding)
-
-    def __bool__(self) -> bool:
-        unifier = self._unifier
-        return bool(unifier._parent) or bool(unifier._binding)
-
-    def __contains__(self, variable: object) -> bool:
-        unifier = self._unifier
-        return variable in unifier._parent or variable in unifier._binding
-
-    def __iter__(self) -> Iterator[UVar]:
-        unifier = self._unifier
-        yield from unifier._parent
-        yield from unifier._binding
-
-    def get(self, variable: UVar, default: Type | None = None) -> Type | None:
-        unifier = self._unifier
-        parent = unifier._parent.get(variable)
-        if parent is not None:
-            return parent
-        bound = unifier._binding.get(variable)
-        return bound if bound is not None else default
-
-    def __getitem__(self, variable: UVar) -> Type:
-        image = self.get(variable)
-        if image is None:
-            raise KeyError(variable)
-        return image
-
-    def __setitem__(self, variable: UVar, image: Type) -> None:
-        self._unifier.assign(variable, image)
-
-    def items(self) -> Iterator[tuple[UVar, Type]]:
-        for variable in self:
-            yield variable, self[variable]
 
 
 class Unifier:
@@ -168,7 +116,6 @@ class Unifier:
         self._fuv_cache: dict[Type, tuple[UVar, ...]] = {}
         self._ftv_cache: dict[Type, tuple[str, ...]] = {}
         self._intern = intern if intern is not None else InternTable()
-        self.subst = SubstitutionView(self)
 
     # -- fresh variables and skolems -----------------------------------
 
@@ -216,6 +163,11 @@ class Unifier:
         return cached
 
     # -- substitution ---------------------------------------------------
+
+    def substitution_size(self) -> int:
+        """Number of solved variables: united into another variable or
+        bound to a type."""
+        return len(self._parent) + len(self._binding)
 
     def _find(self, variable: UVar) -> UVar:
         """Representative of ``variable``, compressing the path walked."""
@@ -602,7 +554,7 @@ class Unifier:
             return type_
         # Sort.M — demote every unification variable in the type (eqfully)
         # and reject any quantifier hiding under a constructor.
-        if _mentions_forall(type_):
+        if mentions_forall(type_):
             raise SortError(variable, type_, Sort.M)
         mapping: dict[UVar, Type] = {}
         for inner in self.fuv_of(type_):
@@ -627,14 +579,3 @@ class Unifier:
         for name in self.ftv_of(type_):
             if self.skolem_level(name) > variable.level:
                 raise SkolemEscapeError(name, type_)
-
-
-def _mentions_forall(type_: Type) -> bool:
-    stack: list[Type] = [type_]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Forall):
-            return True
-        if isinstance(node, TCon):
-            stack.extend(node.args)
-    return False

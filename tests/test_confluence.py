@@ -76,7 +76,7 @@ def test_shuffled_types_agree(source):
         for variable in residual:
             name = next(names)
             binder_names.append(name)
-            solver.unifier.subst[variable] = TVar(name)
+            solver.unifier.assign(variable, TVar(name))
         regeneralised = rename_canonical(
             forall(binder_names, solver.unifier.zonk(zonked))
         )

@@ -6,6 +6,7 @@ when a fix lands) in the ``repro batch``-compatible format."""
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,14 @@ CORPUS_DIR = Path(__file__).parent / "corpus"
 ENTRIES = load_corpus(CORPUS_DIR)
 
 ENV = figure2_env()
+
+
+@functools.lru_cache(maxsize=None)
+def outcome_of(system_name: str, path: Path):
+    """One backend's outcome on one corpus file, computed once per run
+    (the deep-spine file costs seconds per baseline)."""
+    (entry,) = [e for e in ENTRIES if e.path == path]
+    return SYSTEMS[system_name].run(entry.term, ENV)
 
 
 def expected_divergences(entry) -> set[str]:
@@ -105,12 +114,31 @@ def test_corpus_files_record_their_oracle():
 )
 @pytest.mark.parametrize("system_name", tuple(SYSTEMS))
 def test_corpus_case_crashes_no_backend(system_name, entry):
-    """Every backend must *decide* (or cleanly run out of budget on)
-    every corpus term — no internal errors on past counterexamples."""
-    outcome = SYSTEMS[system_name].run(entry.term, ENV)
+    """Every backend must *decide* every corpus term — no internal
+    errors and, with no budget set, no unavailable outcome (a deep
+    spine must not trip the interpreter's recursion limit)."""
+    outcome = outcome_of(system_name, entry.path)
     assert not outcome.crashed, (
         f"{entry.path.name}: {system_name} crashed: {outcome.detail}"
     )
+    assert outcome.available, (
+        f"{entry.path.name}: {system_name} undecided "
+        f"({outcome.error}): {outcome.detail}"
+    )
+
+
+def test_deep_chain_typed_alike_by_every_backend():
+    """The 400-argument spine is accepted by every backend at a type
+    α-equal to GI's."""
+    (entry,) = [e for e in ENTRIES if e.path.stem.startswith("deep-chain-")]
+    gi = outcome_of("GI", entry.path)
+    assert gi.accepted
+    for name in SYSTEMS:
+        outcome = outcome_of(name, entry.path)
+        assert outcome.accepted, f"{name}: {outcome.error}: {outcome.detail}"
+        assert alpha_equal(
+            rename_canonical(outcome.type_), rename_canonical(gi.type_)
+        ), name
 
 
 @pytest.mark.parametrize(
@@ -125,7 +153,7 @@ def test_corpus_case_cross_backend_agreement(entry):
     file must name the diverging pair explicitly — a legitimate
     divergence is a recorded finding, not a silent pass."""
     waived = expected_divergences(entry)
-    outcomes = {name: SYSTEMS[name].run(entry.term, ENV) for name in SYSTEMS}
+    outcomes = {name: outcome_of(name, entry.path) for name in SYSTEMS}
     for premise, conclusion, level in PAIRWISE_IMPLICATIONS:
         label = f"{premise}=>{conclusion}"
         if label in waived:

@@ -465,6 +465,27 @@ class TestPolicyCLI:
             == 0
         )
 
+    def test_fuzz_unknown_policy_reported_once(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["fuzz", "--policy", "bogus", "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("unknown policy") == 1 and "lazy-shallow" in err
+
+    def test_fuzz_policy_reaches_the_config(self, capsys, monkeypatch):
+        import repro.conformance
+        from repro.__main__ import main
+
+        seen = []
+
+        def fake_run_fuzz(config, tracer=None):
+            seen.append(config.policy)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(repro.conformance, "run_fuzz", fake_run_fuzz)
+        assert main(["fuzz", "--count", "1", "--policy", "lazy-deep"]) == 2
+        assert seen == ["lazy-deep"]
+
     def test_repl_set_policy(self, capsys, monkeypatch):
         from repro.__main__ import main
 

@@ -13,21 +13,28 @@ import sys
 
 import pytest
 
+from repro.baselines import HMInferencer
 from repro.core.errors import BudgetExceededError, UnificationError
 from repro.core.sorts import Sort
 from repro.core.types import (
     INT,
     TCon,
+    TVar,
     UVar,
     alpha_equal,
     contains_uvar,
+    forall,
     ftv,
     fun,
     fuv,
+    list_of,
+    mentions_forall,
+    rename_canonical,
     render_type,
     subst_uvars,
 )
 from repro.core.unify import Unifier
+from repro.evalsuite.figure2 import figure2_env
 from repro.robustness.budget import Budget
 
 DEPTH = 50_000
@@ -67,6 +74,14 @@ class TestDeepTraversals:
     def test_render_deep(self):
         rendered = render_type(deep_arrow(DEPTH))
         assert rendered.startswith("Int -> Int")
+
+    def test_rename_canonical_and_mentions_forall_deep(self):
+        quantified = forall(["q"], deep_arrow(DEPTH, leaf=TVar("q")))
+        renamed = rename_canonical(quantified)
+        assert renamed.binders == ("a",)
+        assert alpha_equal(renamed, quantified)
+        assert mentions_forall(list_of(quantified))
+        assert not mentions_forall(deep_arrow(DEPTH))
 
     def test_hash_and_equality_deep(self):
         left = deep_arrow(DEPTH)
@@ -117,3 +132,18 @@ class TestDeepUnifier:
         unifier = Unifier(budget=budget)
         with pytest.raises(BudgetExceededError):
             unifier.unify(deep_arrow(DEPTH), deep_arrow(DEPTH))
+
+
+class TestDeepBaselines:
+    def test_baseline_zonk_and_generalize_through_deep_bindings(self):
+        # A chain of DEPTH bindings, each image one arrow deeper: the
+        # shared baseline store must zonk and generalise it without
+        # recursing per level.
+        hm = HMInferencer(figure2_env())
+        chain = [UVar(f"w{index}", Sort.M) for index in range(DEPTH + 1)]
+        for variable, successor in zip(chain, chain[1:]):
+            hm.subst[variable] = fun(INT, successor)
+        zonked = hm.zonk(chain[0])
+        assert zonked == deep_arrow(DEPTH, leaf=chain[-1])
+        scheme = hm.generalize([], chain[0])
+        assert scheme.binders == ("a",)

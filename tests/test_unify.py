@@ -42,7 +42,7 @@ class TestStructural:
     def test_eqrefl(self):
         unifier = Unifier()
         unifier.unify(INT, INT)
-        assert not unifier.subst
+        assert unifier.substitution_size() == 0
 
     def test_eqmono_decomposes(self):
         unifier = Unifier()
@@ -266,16 +266,16 @@ class TestUnionFind:
             not isinstance(image, UVar) for image in unifier._binding.values()
         )
 
-    def test_substitution_view_reports_all_entries(self):
+    def test_store_reports_all_entries(self):
         unifier = Unifier()
         a, b = uvar("a1"), uvar("b1")
         unifier.unify(a, b)
         unifier.unify(b, INT)
-        assert len(unifier.subst) == 2
-        # Entries keep the seed's link-at-a-time shape: ``a`` maps to its
-        # representative, the representative to the bound type.
-        assert a in unifier.subst and unifier.subst[b] == INT
-        assert unifier.zonk(unifier.subst[a]) == INT
+        # Both variables count as solved: ``a`` is united into ``b``,
+        # and ``b`` is bound to the type.
+        assert unifier.substitution_size() == 2
+        assert unifier.zonk_head(a) == INT and unifier.zonk_head(b) == INT
+        assert unifier.zonk(a) == INT
 
     def test_assign_unions_variables(self):
         unifier = Unifier()
@@ -349,7 +349,7 @@ def unifier_scenario(unifier: Unifier) -> list[str]:
     unifier.assign(h, TCon("Char"))
     out.append(str(unifier.zonk(g)))
     out.append(f"bindings={unifier.bindings}")
-    out.append(f"subst={len(unifier.subst)}")
+    out.append(f"subst={unifier.substitution_size()}")
     out.append(f"next={unifier.supply.fresh()}")
     out.append(f"skolems={sorted(unifier.skolem_levels)}")
     return out
@@ -376,19 +376,17 @@ class TestSubstitutionStore:
             "skolems=[]",
         ]
 
-    def test_subst_view_protocol(self):
+    def test_store_protocol(self):
         unifier = Unifier(NameSupply("v"))
         a, b = UVar("a"), UVar("b")
-        assert not unifier.subst and len(unifier.subst) == 0
-        assert a not in unifier.subst
+        assert unifier.substitution_size() == 0
+        assert unifier.zonk_head(a) is a
         unifier.assign(a, b)
+        assert unifier.substitution_size() == 1
+        assert unifier.zonk_head(a) == b
         unifier.assign(b, INT)
-        assert a in unifier.subst and b in unifier.subst
-        assert unifier.subst.get(a) == b
-        assert unifier.subst[b] == INT
-        assert len(unifier.subst) == 2
-        listed = dict(unifier.subst.items())
-        assert listed[a] == b and listed[b] == INT
+        assert unifier.substitution_size() == 2
+        assert unifier.zonk_head(a) == INT and unifier.zonk_head(b) == INT
 
     def test_zonk_identity_contract(self):
         # ``deep_prenex`` and friends detect fixed points by identity, so

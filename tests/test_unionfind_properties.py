@@ -8,8 +8,9 @@ Three invariants of the rework:
 * path compression is an *implementation* detail: forcing extra ``find``
   traffic between queries never changes any observable zonk result;
 * scheduling is an implementation detail too: the wake-up queue, the
-  legacy re-scan mode, and any ``--jobs`` setting of the batch driver
-  all produce the same types and the same per-item solver-step counts.
+  re-scan reference scheduler (``tests/reference_solver.py``), and any
+  ``--jobs`` setting of the batch driver all produce the same types and
+  the same per-item solver-step counts.
 """
 
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from repro.core.types import Forall, TCon, TVar, UVar, fuv
 from repro.core.unify import Unifier
 from repro.evalsuite.figure2 import figure2_env
 from repro.robustness.batch import check_batch
+from tests.reference_solver import RescanSolver
 
 ENV = figure2_env()
 
@@ -131,9 +133,8 @@ class TestSchedulingEquivalence:
             except GIError as error:
                 outcomes.append(("gen-error", type(error).__name__))
                 continue
-            solver = Solver(
-                supply, evidence, InstanceEnv(), wake_queue=wake
-            )
+            solver_class = Solver if wake else RescanSolver
+            solver = solver_class(supply, evidence, InstanceEnv())
             try:
                 solver.solve(list(constraints))
             except GIError as error:
